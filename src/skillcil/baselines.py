@@ -13,24 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nets
-from .env import GoalBank, Task
+from .env import GoalBank, Task, demo_arrays
 from .errors import NumericFailureError
 from .iscil import StageDataset
 from .rngs import rng_for
-
-
-def stage_arrays(stage: StageDataset, goal_bank: GoalBank):
-    """All retained transitions as (inputs, actions, obs, goal ids, task ids)."""
-    xs, acts, obs, goals, tasks = [], [], [], [], []
-    for demo in stage.demos:
-        for tr in demo.transitions:
-            xs.append(np.concatenate([tr.obs, goal_bank.get(tr.goal_id)]))
-            acts.append(tr.action)
-            obs.append(tr.obs)
-            goals.append(tr.goal_id)
-            tasks.append(demo.task_id)
-    return (np.array(xs), np.array(acts), np.array(obs),
-            np.array(goals), tasks)
 
 
 @dataclass
@@ -51,11 +37,15 @@ class SeqFT:
         self.seed = seed
 
     def train_stage(self, stage: StageDataset):
-        x, a, *_ = stage_arrays(stage, self.goal_bank)
-        loss = nets.train_base(
-            self.base, x, a, self.cfg.steps_per_stage, self.cfg.batch_size,
-            seed=(self.seed, "stage", stage.stage_index), lr=self.cfg.lr)
+        x, a, *_ = demo_arrays(stage.demos, self.goal_bank)
+        loss = nets.train(self.base, None,
+                          self._sampler(x, a, stage.stage_index),
+                          self.cfg.steps_per_stage, self.cfg.lr)
         return {"final_loss": loss}
+
+    def _sampler(self, x, a, stage_index):
+        rng = rng_for((self.seed, "stage", stage_index), "base-train")
+        return nets.batches(x, a, self.cfg.batch_size, rng)
 
     def policy_for_task(self, task: Task):
         def act(obs, goal_id):
@@ -77,11 +67,11 @@ class SeqLoRA:
         self.adapter = nets.init_adapter(base, rank, (seed, "seqlora"))
 
     def train_stage(self, stage: StageDataset):
-        x, a, *_ = stage_arrays(stage, self.goal_bank)
-        loss = nets.train_adapter(
-            self.base, self.adapter, x, a, self.cfg.steps_per_stage,
-            self.cfg.batch_size, seed=(self.seed, "stage", stage.stage_index),
-            lr=self.cfg.lr)
+        x, a, *_ = demo_arrays(stage.demos, self.goal_bank)
+        rng = rng_for((self.seed, "stage", stage.stage_index), "adapter-train")
+        loss = nets.train(self.base, self.adapter,
+                          nets.batches(x, a, self.cfg.batch_size, rng),
+                          self.cfg.steps_per_stage, self.cfg.lr)
         return {"final_loss": loss}
 
     def policy_for_task(self, task: Task):
@@ -136,11 +126,11 @@ class OnlineEWC(SeqFT):
         return pen, grads
 
     def train_stage(self, stage: StageDataset):
-        x, a, *_ = stage_arrays(stage, self.goal_bank)
-        loss = nets.train_base(
-            self.base, x, a, self.cfg.steps_per_stage, self.cfg.batch_size,
-            seed=(self.seed, "stage", stage.stage_index), lr=self.cfg.lr,
-            extra_grad=self._penalty)
+        x, a, *_ = demo_arrays(stage.demos, self.goal_bank)
+        loss = nets.train(self.base, None,
+                          self._sampler(x, a, stage.stage_index),
+                          self.cfg.steps_per_stage, self.cfg.lr,
+                          penalty=self._penalty)
         new_f = empirical_fisher(self.base, x, a, self.fisher_samples,
                                  seed=(self.seed, "stage", stage.stage_index))
         if self.prev_fisher is None:
@@ -194,8 +184,8 @@ class L2M:
         return (queries @ knorm.T).argmax(axis=1)
 
     def train_stage(self, stage: StageDataset):
-        x, a, obs, goals, _ = stage_arrays(stage, self.goal_bank)
-        queries = self._queries(obs, goals)
+        x, a, goals, _ = demo_arrays(stage.demos, self.goal_bank)
+        queries = self._queries(x[:, :-self.goal_bank.dim], goals)
         rng = rng_for(self.seed, "stage", stage.stage_index)
         n = x.shape[0]
         loss = float("nan")
@@ -257,39 +247,33 @@ class Tail:
         self.rank = rank if rank is not None else (16 if kind == "task" else 4)
         self.seed = seed
         self.registry: dict = {}
-        self.fallbacks: list = []
-
-    def _groups(self, stage: StageDataset):
-        x, a, obs, goals, tasks = stage_arrays(stage, self.goal_bank)
-        groups = {}
-        keys = tasks if self.kind == "task" else goals
-        for i, key in enumerate(keys):
-            groups.setdefault(key, []).append(i)
-        return x, a, groups
+        self.fallbacks = 0  # evaluated steps that found no adapter
 
     def train_stage(self, stage: StageDataset):
-        x, a, groups = self._groups(stage)
+        x, a, goals, tasks = demo_arrays(stage.demos, self.goal_bank)
+        keys = tasks if self.kind == "task" else goals
         losses = {}
-        for ident in sorted(groups, key=str):
-            idx = np.array(groups[ident])
+        for ident in sorted(set(keys), key=str):
+            rows = np.asarray(keys) == ident
             adapter = self.registry.get(ident)
             if adapter is None:
                 adapter = nets.init_adapter(
                     self.base, self.rank,
                     (self.seed, "adapter", stage.stage_index, ident))
                 self.registry[ident] = adapter
-            losses[ident] = nets.train_adapter(
-                self.base, adapter, x[idx], a[idx],
-                self.cfg.steps_per_stage, self.cfg.batch_size,
-                seed=(self.seed, "train", stage.stage_index, ident),
-                lr=self.cfg.lr)
+            rng = rng_for((self.seed, "train", stage.stage_index, ident),
+                          "adapter-train")
+            losses[str(ident)] = nets.train(
+                self.base, adapter,
+                nets.batches(x[rows], a[rows], self.cfg.batch_size, rng),
+                self.cfg.steps_per_stage, self.cfg.lr)
         return {"final_loss": losses}
 
     def act(self, obs, goal_id, task_id=None):
         ident = task_id if self.kind == "task" else goal_id
         adapter = self.registry.get(ident)
         if adapter is None:
-            self.fallbacks.append(ident)
+            self.fallbacks += 1
         return nets.forward(
             self.base, adapter,
             np.concatenate([obs, self.goal_bank.get(goal_id)]))
@@ -342,37 +326,29 @@ class ER(SeqFT):
             self.buffer_a = np.vstack([self.buffer_a, a[idx]])
 
     def train_stage(self, stage: StageDataset):
-        x, a, *_ = stage_arrays(stage, self.goal_bank)
-        if self._buffer_size() == 0:
-            loss = nets.train_base(
-                self.base, x, a, self.cfg.steps_per_stage,
-                self.cfg.batch_size,
-                seed=(self.seed, "stage", stage.stage_index), lr=self.cfg.lr)
-        else:
-            loss = self._train_mixed(x, a, stage.stage_index)
+        x, a, *_ = demo_arrays(stage.demos, self.goal_bank)
+        loss = nets.train(self.base, None,
+                          self._sampler(x, a, stage.stage_index),
+                          self.cfg.steps_per_stage, self.cfg.lr)
         self._store(x, a, stage.stage_index)
         return {"final_loss": loss}
 
-    def _train_mixed(self, x, a, stage_index):
+    def _sampler(self, x, a, stage_index):
+        if self._buffer_size() == 0:
+            return super()._sampler(x, a, stage_index)
         rng = rng_for(self.seed, "stage", stage_index, "mixed")
-        opt = nets.adam_init(nets.base_params(self.base), lr=self.cfg.lr)
         n_cur, n_rep = x.shape[0], self._buffer_size()
         batch = self.cfg.batch_size
-        loss = float("nan")
-        for _ in range(self.cfg.steps_per_stage):
+
+        def sample():
             replay_mask = rng.random(batch) < 0.5
             n_r = int(replay_mask.sum())
             idx_c = rng.integers(0, n_cur, size=batch - n_r)
             idx_r = rng.integers(0, n_rep, size=n_r)
-            bx = np.vstack([x[idx_c], self.buffer_x[idx_r]])
-            ba = np.vstack([a[idx_c], self.buffer_a[idx_r]])
             self.composition += (batch - n_r, n_r)
-            loss, grads = nets.grad(self.base, None, bx, ba, trainable="base")
-            if not np.isfinite(loss):
-                raise NumericFailureError("ER training diverged")
-            opt, params = nets.adam_step(opt, nets.base_params(self.base), grads)
-            nets.set_base_params(self.base, params)
-        return loss
+            return (np.vstack([x[idx_c], self.buffer_x[idx_r]]),
+                    np.vstack([a[idx_c], self.buffer_a[idx_r]]))
+        return sample
 
 
 class MultiTask(ER):

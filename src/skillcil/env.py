@@ -205,13 +205,6 @@ def expert_action(state: EnvState, target: int, rng=None,
     return clamp_action(action, state.spec.max_speed)
 
 
-def scripted_expert(state: EnvState, target: int, noise_seed,
-                    kp: float = 1.0, sigma: float = 0.005) -> np.ndarray:
-    """One expert action with a one-shot noise stream derived from noise_seed."""
-    return expert_action(state, target, rng_for(noise_seed, "expert", state.t),
-                         kp=kp, sigma=sigma)
-
-
 def generate_demonstration(spec: EnvSpec, task: Task, seed,
                            corruption=frozenset(),
                            kp: float = 1.0,
@@ -250,6 +243,21 @@ def generate_demonstration(spec: EnvSpec, task: Task, seed,
         subgoal_segments=segments,
         corrupted_subgoals=corruption & set(task.subgoals),
     )
+
+
+def demo_arrays(demos, goal_bank: GoalBank):
+    """All transitions as (inputs, actions, goal ids, task ids), in order.
+
+    An input row is the observation followed by its goal's embedding; task
+    ids are a list of the demos' ids, one per row.
+    """
+    trs = [tr for demo in demos for tr in demo.transitions]
+    tasks = [demo.task_id for demo in demos for _ in demo.transitions]
+    x = np.array([np.concatenate([tr.obs, goal_bank.get(tr.goal_id)])
+                  for tr in trs])
+    actions = np.array([tr.action for tr in trs])
+    goals = np.array([tr.goal_id for tr in trs], dtype=int)
+    return x, actions, goals, tasks
 
 
 def evaluate_gc(policy, spec: EnvSpec, task: Task, episodes: int, seed) -> float:

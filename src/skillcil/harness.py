@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, iscil, metrics, nets
-from .env import EnvSpec, GoalBank, Task, evaluate_gc, generate_demonstration
+from .env import (EnvSpec, GoalBank, Task, demo_arrays, evaluate_gc,
+                  generate_demonstration)
 from .errors import ConfigError
 from .iscil import IsCilConfig, IsCilState, StageDataset
 from .rngs import rng_for
@@ -156,20 +157,16 @@ def pretrain(env: EnvSpec, objects, budget_steps: int, seed,
     """Behavior-clone a fresh MLP on tasks over the pretraining objects."""
     if len(objects) < 2:
         raise ConfigError("need at least 2 pretraining objects")
-    goal_bank = GoalBank(env)
-    xs, acts = [], []
-    for task in pretrain_tasks(env, objects):
-        for j in range(demos_per_task):
-            demo = generate_demonstration(env, task,
-                                          seed=(seed, "pretrain", task.id, j))
-            for tr in demo.transitions:
-                xs.append(np.concatenate([tr.obs, goal_bank.get(tr.goal_id)]))
-                acts.append(tr.action)
-    x, a = np.array(xs), np.array(acts)
+    demos = [generate_demonstration(env, task,
+                                    seed=(seed, "pretrain", task.id, j))
+             for task in pretrain_tasks(env, objects)
+             for j in range(demos_per_task)]
+    x, a, *_ = demo_arrays(demos, GoalBank(env))
     base = nets.init_mlp((env.state_dim, *hidden, 2), (seed, "base-init"))
     if budget_steps > 0:
-        nets.train_base(base, x, a, budget_steps, batch_size,
-                        seed=(seed, "pretrain-train"), lr=lr)
+        rng = rng_for((seed, "pretrain-train"), "base-train")
+        nets.train(base, None, nets.batches(x, a, batch_size, rng),
+                   budget_steps, lr)
     return base
 
 

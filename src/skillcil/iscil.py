@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nets, retrieval
-from .env import GoalBank, Task, evaluate_gc
+from .env import GoalBank, demo_arrays
 from .errors import EmptyStageError
 from .rngs import rng_for
 
@@ -81,28 +81,19 @@ class IsCilState:
         _, adapter = self.memory.retrieve(s)
         return nets.forward(self.base, adapter, x)
 
-    def policy(self):
-        return self.act
-
 
 def stage_subgoal_batches(state: IsCilState, stage: StageDataset):
     """Retained transitions grouped by sub-goal, in first-appearance order.
 
     Returns an ordered list of (goal_id, x, actions, contributing task ids).
     """
-    order = []
-    groups = {}
-    for demo in stage.demos:
-        for tr in demo.transitions:
-            g = tr.goal_id
-            if g not in groups:
-                groups[g] = {"x": [], "a": [], "tasks": set()}
-                order.append(g)
-            groups[g]["x"].append(state.policy_input(tr.obs, g))
-            groups[g]["a"].append(tr.action)
-            groups[g]["tasks"].add(demo.task_id)
-    return [(g, np.array(groups[g]["x"]), np.array(groups[g]["a"]),
-             frozenset(groups[g]["tasks"])) for g in order]
+    x, actions, goals, tasks = demo_arrays(stage.demos, state.goal_bank)
+    batches = []
+    for g in dict.fromkeys(goals.tolist()):
+        rows = goals == g
+        batches.append((g, x[rows], actions[rows],
+                        frozenset(t for t, r in zip(tasks, rows) if r)))
+    return batches
 
 
 def learn_stage(state: IsCilState, stage: StageDataset) -> StageReport:
@@ -129,10 +120,11 @@ def learn_stage(state: IsCilState, stage: StageDataset) -> StageReport:
             adapter = nets.init_adapter(
                 state.base, cfg.rank,
                 (cfg.seed, "adapter", stage.stage_index, g))
-        loss = nets.train_adapter(
-            state.base, adapter, x, actions,
-            steps=cfg.updates_per_skill, batch_size=cfg.batch_size,
-            seed=(cfg.seed, "train", stage.stage_index, g), lr=cfg.lr)
+        rng = rng_for((cfg.seed, "train", stage.stage_index, g),
+                      "adapter-train")
+        loss = nets.train(
+            state.base, adapter, nets.batches(x, actions, cfg.batch_size, rng),
+            cfg.updates_per_skill, cfg.lr)
         skill_id = f"stage{stage.stage_index}:g{g}"
         proto = retrieval.build_prototype(
             embeddings, cfg.bases_per_skill, skill_id,
@@ -149,12 +141,6 @@ def learn_stage(state: IsCilState, stage: StageDataset) -> StageReport:
 def unlearn_task(state: IsCilState, task_id: str):
     """Remove every skill tagged with the task; returns the removed pairs."""
     return state.memory.remove(lambda p: task_id in p.source_tasks)
-
-
-def evaluate_unseen(state: IsCilState, spec, task: Task,
-                    episodes: int, seed) -> float:
-    """Goal-conditioned score on a task given only its sub-goal sequence."""
-    return evaluate_gc(state.act, spec, task, episodes, seed)
 
 
 def snapshot(state: IsCilState) -> dict:

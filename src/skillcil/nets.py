@@ -145,12 +145,14 @@ def grad(base: BasePolicy, adapter, x: np.ndarray, actions: np.ndarray,
 
     n_layers = len(base.layers)
     scale = adapter.scale if adapter is not None else 1.0
+    weights = []  # effective weight of each layer
     inputs = []   # input to each layer
     pre = []      # pre-activation of each layer
     h = x
     for i, lin in enumerate(base.layers):
         lo = adapter.layers[i] if adapter is not None else None
         w = _effective_weight(lin, lo, scale)
+        weights.append(w)
         inputs.append(h)
         z = h @ w.T + lin.b
         pre.append(z)
@@ -161,9 +163,7 @@ def grad(base: BasePolicy, adapter, x: np.ndarray, actions: np.ndarray,
     grads = [None] * (2 * n_layers)
     dz = 2.0 * delta / n
     for i in reversed(range(n_layers)):
-        lin = base.layers[i]
         lo = adapter.layers[i] if adapter is not None else None
-        w = _effective_weight(lin, lo, scale)
         dw_eff = dz.T @ inputs[i]
         if trainable == "base":
             grads[2 * i] = dw_eff
@@ -172,7 +172,7 @@ def grad(base: BasePolicy, adapter, x: np.ndarray, actions: np.ndarray,
             grads[2 * i] = scale * lo.b.T @ dw_eff   # dA
             grads[2 * i + 1] = scale * dw_eff @ lo.a.T  # dB
         if i > 0:
-            dh = dz @ w
+            dh = dz @ weights[i]
             dz = dh * (pre[i - 1] > 0)
     return loss, grads
 
@@ -250,53 +250,47 @@ def adam_step(state: AdamState, params, grads):
     return out, new_p
 
 
-def train_adapter(base: BasePolicy, adapter: LoraAdapter, x, actions,
-                  steps: int, batch_size: int, seed,
-                  lr: float = 1e-3) -> float:
-    """Adam on the adapter only; base stays untouched. Returns final loss."""
-    if x.shape[0] == 0:
-        raise EmptyBatchError("no transitions to train on")
-    rng = rng_for(seed, "adapter-train")
-    opt = adam_init(adapter_params(adapter), lr=lr)
-    loss = imitation_loss(base, adapter, x, actions)
+def batches(x, actions, batch_size: int, rng):
+    """Sampler of uniform (x, actions) batches drawn with replacement."""
     n = x.shape[0]
-    for _ in range(steps):
+    if n == 0:
+        raise EmptyBatchError("no transitions to train on")
+
+    def sample():
         idx = rng.integers(0, n, size=min(batch_size, n))
-        loss, grads = grad(base, adapter, x[idx], actions[idx],
-                           trainable="adapter")
-        if not np.isfinite(loss):
-            raise NumericFailureError("adapter training diverged")
-        opt, params = adam_step(opt, adapter_params(adapter), grads)
-        set_adapter_params(adapter, params)
-    return loss
+        return x[idx], actions[idx]
+    return sample
 
 
-def train_base(base: BasePolicy, x, actions, steps: int, batch_size: int,
-               seed, lr: float = 1e-3, extra_grad=None) -> float:
-    """Adam on the full base.
+def train(base: BasePolicy, adapter, sample, steps: int, lr: float = 1e-3,
+          penalty=None) -> float:
+    """Adam on the adapter, or on the whole base when adapter is None.
 
-    extra_grad, if given, maps the current parameter list to
-    (penalty loss, penalty grads) added to the imitation gradients; with a
-    zero penalty it contributes exact zeros, leaving the trajectory
-    bit-identical to plain training.
+    sample() returns the next (x, actions) batch.  penalty, if given, maps
+    the current parameter list to (penalty loss, penalty grads) added to
+    the imitation gradients; a zero penalty contributes exact zeros, leaving
+    the trajectory bit-identical to plain training.  Returns the loss of the
+    last batch (NaN when steps is 0).
     """
-    if x.shape[0] == 0:
-        raise EmptyBatchError("no transitions to train on")
-    rng = rng_for(seed, "base-train")
-    opt = adam_init(base_params(base), lr=lr)
-    loss = imitation_loss(base, None, x, actions)
-    n = x.shape[0]
+    whole_base = adapter is None
+    trainable = "base" if whole_base else "adapter"
+    params = base_params(base) if whole_base else adapter_params(adapter)
+    opt = adam_init(params, lr=lr)
+    loss = float("nan")
     for _ in range(steps):
-        idx = rng.integers(0, n, size=min(batch_size, n))
-        loss, grads = grad(base, None, x[idx], actions[idx], trainable="base")
-        if extra_grad is not None:
-            pen, pgrads = extra_grad(base_params(base))
+        bx, ba = sample()
+        loss, grads = grad(base, adapter, bx, ba, trainable=trainable)
+        if penalty is not None:
+            pen, pgrads = penalty(params)
             loss += pen
             grads = [g + pg for g, pg in zip(grads, pgrads)]
         if not np.isfinite(loss):
-            raise NumericFailureError("base training diverged")
-        opt, params = adam_step(opt, base_params(base), grads)
-        set_base_params(base, params)
+            raise NumericFailureError(f"{trainable} training diverged")
+        opt, params = adam_step(opt, params, grads)
+        if whole_base:
+            set_base_params(base, params)
+        else:
+            set_adapter_params(adapter, params)
     return loss
 
 

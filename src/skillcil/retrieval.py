@@ -17,6 +17,7 @@ from .errors import (
     DegenerateInputError,
     DimensionError,
     NoSkillError,
+    NumericFailureError,
     SkillConflictError,
 )
 from .rngs import rng_for
@@ -125,8 +126,8 @@ def kmeans(points: np.ndarray, k: int, seed, max_iters: int = 100) -> KMeansResu
         dist = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_labels = dist.argmin(axis=1)
         inertia = float(dist[np.arange(n), new_labels].sum())
-        if history:
-            assert inertia <= history[-1] + 1e-9, "inertia increased"
+        if history and inertia > history[-1] + 1e-9:
+            raise NumericFailureError("k-means inertia increased")
         history.append(inertia)
         converged = bool(np.array_equal(new_labels, labels)) and len(history) > 1
         labels = new_labels

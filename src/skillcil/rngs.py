@@ -26,7 +26,3 @@ def rng_for(*tokens) -> np.random.Generator:
     """Generator for a (seed, *context) stream; same tokens, same stream."""
     return np.random.default_rng(seed_seq(*tokens))
 
-
-def int_seed(*tokens) -> int:
-    """A single 63-bit integer seed derived from the tokens."""
-    return int(seed_seq(*tokens).generate_state(1, dtype=np.uint64)[0] >> 1)

@@ -207,6 +207,16 @@ def test_resume_matches_uninterrupted(pretrained_base, tmp_path):
     assert loaded.scores == full.matrix.scores
 
 
+def test_tail_g_persists_stage_reports(pretrained_base, tmp_path):
+    # Sub-goal identifiers key tail-g's per-adapter losses; the stage report
+    # must still serialize to JSON when every stage is persisted.
+    rec = run(pretrained_base, tmp_path, method_id="tail-g")
+    assert len(rec.stage_reports) == 2
+    assert (tmp_path / "scores.csv").exists()
+    lines = (tmp_path / "stage_reports.jsonl").read_text().splitlines()
+    assert len(lines) == 2
+
+
 # --- reporting ---
 
 def test_report_aggregates_seeds(pretrained_base):

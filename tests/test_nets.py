@@ -67,6 +67,9 @@ def test_imitation_loss_direct_sum(base):
 def test_loss_empty_batch(base):
     with pytest.raises(EmptyBatchError):
         nets.imitation_loss(base, None, np.zeros((0, 5)), np.zeros((0, 2)))
+    with pytest.raises(EmptyBatchError):
+        nets.batches(np.zeros((0, 5)), np.zeros((0, 2)), 8,
+                     np.random.default_rng(0))
 
 
 def _fd_check(base, adapter, x, actions, trainable, eps=1e-6):
@@ -133,8 +136,8 @@ def test_train_adapter_freezes_base(base, adapter):
     x = rng.standard_normal((32, 5))
     actions = rng.standard_normal((32, 2))
     before = [p.copy() for p in nets.base_params(base)]
-    nets.train_adapter(base, adapter, x, actions, steps=20, batch_size=8,
-                       seed=14)
+    sample = nets.batches(x, actions, 8, np.random.default_rng(14))
+    nets.train(base, adapter, sample, steps=20)
     for b, a in zip(before, nets.base_params(base)):
         assert np.array_equal(b, a)  # bit-identical, not just close
 
@@ -144,8 +147,8 @@ def test_train_adapter_reduces_loss(base, adapter):
     x = rng.standard_normal((64, 5))
     actions = 0.1 * rng.standard_normal((64, 2))
     before = nets.imitation_loss(base, adapter, x, actions)
-    nets.train_adapter(base, adapter, x, actions, steps=200, batch_size=32,
-                       seed=16)
+    sample = nets.batches(x, actions, 32, np.random.default_rng(16))
+    nets.train(base, adapter, sample, steps=200)
     assert nets.imitation_loss(base, adapter, x, actions) < before
 
 
@@ -155,8 +158,9 @@ def test_train_deterministic(base):
     actions = rng.standard_normal((32, 2))
     import copy
     b1, b2 = copy.deepcopy(base), copy.deepcopy(base)
-    nets.train_base(b1, x, actions, steps=30, batch_size=8, seed=18)
-    nets.train_base(b2, x, actions, steps=30, batch_size=8, seed=18)
+    for b in (b1, b2):
+        sample = nets.batches(x, actions, 8, np.random.default_rng(18))
+        nets.train(b, None, sample, steps=30)
     for p1, p2 in zip(nets.base_params(b1), nets.base_params(b2)):
         assert np.array_equal(p1, p2)
 
